@@ -1,9 +1,11 @@
 """Supervised parallel batch analysis: a corpus of ``.nml`` programs
 through one store, under the resilience policy engine.
 
-``repro batch <dir>`` fans the corpus across supervised worker processes.
-Each worker builds its own :class:`~repro.query.AnalysisSession` (sessions
-are process-local by design), but all workers attach the same
+``repro batch <dir>`` fans the corpus across supervised worker processes,
+one long-lived worker per ``jobs`` slot, fed one file attempt at a time
+over a duplex Pipe.  Each attempt builds its own
+:class:`~repro.query.AnalysisSession` (sessions are process-local by
+design), but all workers attach the same
 :class:`~repro.store.AnalysisStore`, so an SCC fixpoint solved by any
 worker — the prelude's ``append``, ``map``, ``rev`` knots recur across
 corpus programs — is decoded, not re-solved, by every other worker and by
@@ -17,9 +19,10 @@ The driver supervises rather than trusts its workers
 (:mod:`repro.robust.resilience`):
 
 * every worker attempt gets a **per-file wall-clock timeout**
-  (``timeout_s``); a hung worker is terminated and replaced;
-* a **crashed** worker (hard exit, broken pipe) is restarted with
-  exponential backoff and deterministic jitter
+  (``timeout_s``); a hung worker is terminated, and its slot starts a
+  fresh one for the next attempt;
+* a **crashed** worker (hard exit, broken pipe) is replaced the same way,
+  and its file retried with exponential backoff and deterministic jitter
   (:class:`~repro.robust.resilience.RetryPolicy`);
 * a file that fails all its attempts is **quarantined** into the report
   (:class:`~repro.robust.resilience.Quarantine`) — the batch keeps its
@@ -33,10 +36,14 @@ The driver supervises rather than trusts its workers
 An ordinary failure *inside* a file — parse error, type error — is still
 contained by the worker itself and answered in one attempt; supervision
 exists for the failures the worker cannot contain (its own death).
-Timeouts and crash restarts need a worker *process* to kill, so they
-engage whenever ``timeout_s`` is set or ``jobs > 1``; the plain in-process
-path (``jobs <= 1``, no timeout) remains the fault-injection-friendly one,
-where injected worker crashes surface as retryable exceptions.
+A worker that answers is reused: the fork is paid once per slot, not once
+per file, while each attempt still gets its own tracer, trace-context
+attach, fault-plan scope and trace shard, so nothing carries over from one
+file to the next.  Timeouts and crash restarts need a worker *process* to
+kill, so they engage whenever ``timeout_s`` is set or ``jobs > 1``; the
+plain in-process path (``jobs <= 1``, no timeout) remains the
+fault-injection-friendly one, where injected worker crashes surface as
+retryable exceptions.
 """
 
 from __future__ import annotations
@@ -544,8 +551,10 @@ def _worker_faults_for(plan, launch: int):
     """The supervisor-side interpretation of worker-stage faults for the
     ``launch``-th worker attempt (1-based, across the whole run): returns
     ``(crash, hang_s, child_plan)``.  Worker-stage ordinals must be
-    counted by the supervisor — each attempt is a fresh process with fresh
-    counters — so they are stripped from the plan the child activates."""
+    counted by the supervisor — attempts are spread over several slots'
+    workers, and a worker replaced after a crash or a kill starts with
+    fresh counters — so they are stripped from the plan the worker
+    activates for the attempt."""
     if plan is None:
         return False, 0.0, None
     crash = plan.worker_crash_at == launch
@@ -561,33 +570,49 @@ def _worker_faults_for(plan, launch: int):
     return crash, hang_s, child_plan
 
 
-def _worker_main(
+def _worker_main(conn, worker=None) -> None:
+    """Worker-process entry: serve attempts from the supervisor over
+    ``conn`` until it sends ``None`` (or the pipe breaks), one
+    :func:`_serve_attempt` each, answering every one on the same pipe."""
+    # Under a fork start method the child inherits the driver's active
+    # tracer — and with it the driver's open trace file.  Events must go
+    # to the attempt's own shard, never interleave into the parent's.
+    obs._active = None
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            return
+        _serve_attempt(conn, *message, worker=worker)
+
+
+def _serve_attempt(
+    conn,
     args: tuple,
     plan,
     crash: bool,
     hang_s: float,
-    conn,
-    ctx_wire: "dict | None" = None,
-    shard_path: "str | None" = None,
+    ctx_wire: "dict | None",
+    shard_path: "str | None",
+    launch: int,
     worker=None,
 ) -> None:
-    """Worker-process entry: activate the (stripped) fault plan, honour the
-    supervisor's crash/hang verdicts, analyze, ship the report back.
+    """One worker attempt: activate the (stripped) fault plan, honour the
+    supervisor's crash/hang verdicts, analyze, ship the report back on
+    ``conn``.
 
-    ``ctx_wire`` is the file's trace context carried across the Pipe — the
-    driver's hop, which the worker re-attaches so every event it emits
-    (``transfer_eval``, ``worklist_*``, ``degradation``, ...) is stamped
-    with the originating trace_id.  ``shard_path`` names the worker's own
-    JSONL shard; the driver merges shards after the run.
+    The tracer, trace-context attach and fault-plan scope live exactly as
+    long as the attempt, so nothing leaks into the next file the worker
+    serves.  ``ctx_wire`` is the file's trace context carried across the
+    Pipe — the driver's hop, which the worker re-attaches so every event it
+    emits (``transfer_eval``, ``worklist_*``, ``degradation``, ...) is
+    stamped with the originating trace_id.  ``shard_path`` names the
+    attempt's own JSONL shard; the driver merges shards after the run.
     """
-    from repro.obs import tracer as tracer_mod
     from repro.obs.flight import FlightRecorder, dump_dir_from_env
     from repro.obs.sinks import JsonlSink
-
-    # Under a fork start method the child inherits the driver's active
-    # tracer — and with it the driver's open trace file.  Events must go
-    # to this worker's own shard, never interleave into the parent's.
-    tracer_mod._active = None
 
     ctx = TraceContext.from_wire(ctx_wire)
     with contextlib.ExitStack() as stack:
@@ -598,13 +623,13 @@ def _worker_main(
             sinks.append(sink)
         flight_dir = dump_dir_from_env()
         if flight_dir is not None:
+            # Labelled by attempt, not pid: a worker's later attempts must
+            # not overwrite its earlier attempts' dumps.
             sinks.append(
-                FlightRecorder(
-                    dump_dir=flight_dir, label=f"worker-flight-{os.getpid()}"
-                )
+                FlightRecorder(dump_dir=flight_dir, label=f"worker-flight-{launch:04d}")
             )
         if sinks:
-            stack.enter_context(tracer_mod.activate(tracer_mod.Tracer(sinks=sinks)))
+            stack.enter_context(obs.activate(obs.Tracer(sinks=sinks)))
         if ctx is not None:
             stack.enter_context(obs_context.attach(ctx))
         try:
@@ -630,17 +655,66 @@ def _worker_main(
                         trace_id=ctx.trace_id if ctx is not None else "",
                     )
                 )
-        finally:
-            with contextlib.suppress(Exception):
-                conn.close()
+            if not isinstance(error, Exception):
+                raise
 
 
-@dataclass
-class _Running:
-    task: _Task
-    process: object
-    conn: object
-    deadline: float | None
+class _Slot:
+    """One ``jobs`` slot: a long-lived worker process, started with the
+    slot's first attempt and replaced only after it crashes or is killed at
+    a deadline, plus the attempt it is serving (``task`` is ``None`` while
+    idle)."""
+
+    def __init__(self, worker=None) -> None:
+        self.worker = worker
+        self.process = None
+        self.conn = None
+        self.task: "_Task | None" = None
+        self.deadline: "float | None" = None
+
+    def start(self) -> None:
+        mp = get_context()
+        parent_conn, child_conn = mp.Pipe()
+        self.process = mp.Process(
+            target=_worker_main, args=(child_conn, self.worker), daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+        self.conn = parent_conn
+
+    def assign(self, task: _Task, message: tuple, deadline: "float | None") -> None:
+        if self.process is None or not self.process.is_alive():
+            self.stop()  # reaps a worker that died while idle
+            self.start()
+        self.task, self.deadline = task, deadline
+        # A worker that dies before reading this shows up as a crash of
+        # the attempt: its sentinel fires with no report.
+        with contextlib.suppress(OSError):
+            self.conn.send(message)
+
+    def retire(self) -> None:
+        """Ask an idle worker to exit (it reads ``None`` as shutdown)."""
+        if self.process is not None:
+            with contextlib.suppress(OSError):
+                self.conn.send(None)
+
+    def stop(self, grace_s: float = 0.0) -> "int | None":
+        """Reap the worker, terminating it unless it exits within
+        ``grace_s`` seconds; returns its exit code."""
+        process, self.process = self.process, None
+        if process is None:
+            return None
+        process.join(grace_s)
+        if process.is_alive():
+            process.terminate()
+            process.join(5.0)
+        if process.is_alive():  # pragma: no cover - hard kill path
+            process.kill()
+            process.join()
+        self.conn.close()
+        self.conn = None
+        self.task = self.deadline = None
+        return process.exitcode
 
 
 def _run_supervised(
@@ -654,8 +728,13 @@ def _run_supervised(
     trace_dir: "str | None" = None,
     worker=None,
 ) -> list[FileReport]:
-    """Process-per-attempt supervision: per-file preemptive timeouts,
-    crash replacement with backoff, quarantine after exhausted attempts.
+    """Per-slot supervision: ``jobs`` long-lived worker processes, each fed
+    one attempt at a time over its duplex Pipe, with per-attempt preemptive
+    timeouts, crash replacement with backoff, and quarantine after
+    exhausted attempts.  A slot's worker is replaced only when it dies
+    without answering (crash) or is killed at its attempt's deadline
+    (timeout); every worker is shut down when the run ends or the driver
+    raises.
 
     With ``contexts`` (one root :class:`TraceContext` per file), every
     worker attempt runs a child hop of its file's trace, and supervisor
@@ -663,13 +742,12 @@ def _run_supervised(
     stamped with the same trace_id.  With ``trace_dir``, each worker
     attempt writes its own JSONL shard (``worker-NNNN.jsonl``) there.
     """
-    ctx = get_context()
     tasks = deque(
         _Task(index=i, args=args, ctx=contexts[i] if contexts else None)
         for i, args in enumerate(work)
     )
     waiting: list[tuple[float, _Task]] = []  # (ready_at, task) backoff bench
-    running: dict[object, _Running] = {}  # sentinel -> running attempt
+    slots = [_Slot(worker) for _ in range(jobs)]
     reports: dict[int, FileReport] = {}
     launches = 0
 
@@ -701,103 +779,108 @@ def _run_supervised(
                 )
             reports[task.index] = _quarantined_report(task, cause_kind)
 
-    while tasks or waiting or running:
-        now = time.monotonic()
-        # Backoff bench → ready queue.
-        ripe = [entry for entry in waiting if entry[0] <= now]
-        for entry in ripe:
-            waiting.remove(entry)
-            tasks.append(entry[1])
-        # Launch up to ``jobs`` workers.
-        while tasks and len(running) < jobs:
-            task = tasks.popleft()
-            launches += 1
-            task.attempts += 1
-            crash, hang_s, child_plan = _worker_faults_for(plan, launches)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            child_ctx = task.ctx.child() if task.ctx is not None else None
-            shard_path = (
-                os.path.join(trace_dir, f"worker-{launches:04d}.jsonl")
-                if trace_dir is not None
-                else None
-            )
-            process = ctx.Process(
-                target=_worker_main,
-                args=(
+    try:
+        while tasks or waiting or any(s.task is not None for s in slots):
+            now = time.monotonic()
+            # Backoff bench → ready queue.
+            ripe = [entry for entry in waiting if entry[0] <= now]
+            for entry in ripe:
+                waiting.remove(entry)
+                tasks.append(entry[1])
+            # Hand an attempt to every idle slot.
+            for slot in slots:
+                if not tasks:
+                    break
+                if slot.task is not None:
+                    continue
+                task = tasks.popleft()
+                launches += 1
+                task.attempts += 1
+                crash, hang_s, child_plan = _worker_faults_for(plan, launches)
+                child_ctx = task.ctx.child() if task.ctx is not None else None
+                shard_path = (
+                    os.path.join(trace_dir, f"worker-{launches:04d}.jsonl")
+                    if trace_dir is not None
+                    else None
+                )
+                message = (
                     task.args,
                     child_plan,
                     crash,
                     hang_s,
-                    child_conn,
                     child_ctx.to_wire() if child_ctx is not None else None,
                     shard_path,
-                    worker,
-                ),
-                daemon=True,
+                    launches,
+                )
+                deadline = now + timeout_s if timeout_s is not None else None
+                slot.assign(task, message, deadline)
+            busy = [slot for slot in slots if slot.task is not None]
+            if not busy:
+                # Everything is on the backoff bench: sleep to the next ready.
+                if waiting:
+                    time.sleep(max(0.0, min(t for t, _ in waiting) - time.monotonic()))
+                continue
+            # Wait for an answer, a worker death, a deadline or a bench slot.
+            wait_until = [s.deadline for s in busy if s.deadline is not None]
+            wait_until += [t for t, _ in waiting]
+            timeout = max(0.0, min(wait_until) - time.monotonic()) if wait_until else None
+            ready = set(
+                connection_wait(
+                    [s.conn for s in busy] + [s.process.sentinel for s in busy],
+                    timeout=timeout,
+                )
             )
-            process.start()
-            child_conn.close()
-            deadline = now + timeout_s if timeout_s is not None else None
-            running[process.sentinel] = _Running(task, process, parent_conn, deadline)
-        if not running:
-            # Everything is on the backoff bench: sleep to the next ready.
-            if waiting:
-                time.sleep(max(0.0, min(t for t, _ in waiting) - time.monotonic()))
-            continue
-        # Wait for a worker to finish, a deadline to pass, or a bench slot.
-        wait_until = [d for r in running.values() if (d := r.deadline) is not None]
-        wait_until += [t for t, _ in waiting]
-        timeout = max(0.0, min(wait_until) - time.monotonic()) if wait_until else None
-        done = connection_wait(list(running), timeout=timeout)
-        now = time.monotonic()
-        for sentinel in done:
-            run = running.pop(sentinel)
-            run.process.join()
-            report: FileReport | None = None
-            if run.conn.poll():
-                with contextlib.suppress(EOFError, OSError):
-                    report = run.conn.recv()
-            run.conn.close()
-            if report is not None:
-                report.attempts = run.task.attempts
-                reports[run.task.index] = report
-            else:  # died without an answer: crashed
-                exitcode = run.process.exitcode
-                with stamped(run.task):
+            now = time.monotonic()
+            for slot in busy:
+                if slot.conn not in ready and slot.process.sentinel not in ready:
+                    continue
+                task = slot.task
+                report: FileReport | None = None
+                if slot.conn.poll():
+                    with contextlib.suppress(EOFError, OSError):
+                        report = slot.conn.recv()
+                if report is not None:
+                    report.attempts = task.attempts
+                    reports[task.index] = report
+                    slot.task = slot.deadline = None
+                    continue
+                # Died without an answer: crashed.
+                exitcode = slot.stop(grace_s=5.0)
+                with stamped(task):
                     obs.emit(
                         "worker_restart",
-                        key=run.task.path,
-                        attempt=run.task.attempts,
+                        key=task.path,
+                        attempt=task.attempts,
                         cause="worker-crashed",
                     )
-                fail(
-                    run.task,
-                    "worker-crashed",
-                    f"worker crashed (exit code {exitcode})",
-                )
-        # Preempt the hung.
-        for sentinel, run in list(running.items()):
-            if run.deadline is not None and now >= run.deadline:
-                running.pop(sentinel)
-                run.process.terminate()
-                run.process.join(5.0)
-                if run.process.is_alive():  # pragma: no cover - hard kill path
-                    run.process.kill()
-                    run.process.join()
-                run.conn.close()
-                with stamped(run.task):
-                    obs.emit("timeout", key=run.task.path, deadline_s=timeout_s)
+                fail(task, "worker-crashed", f"worker crashed (exit code {exitcode})")
+                if tasks or waiting:
+                    slot.start()
+            # Preempt the hung.
+            for slot in busy:
+                if slot.task is None or slot.deadline is None or now < slot.deadline:
+                    continue
+                task = slot.task
+                slot.stop()
+                with stamped(task):
+                    obs.emit("timeout", key=task.path, deadline_s=timeout_s)
                     obs.emit(
                         "worker_restart",
-                        key=run.task.path,
-                        attempt=run.task.attempts,
+                        key=task.path,
+                        attempt=task.attempts,
                         cause="timeout",
                     )
-                fail(
-                    run.task,
-                    "timeout",
-                    f"worker timed out after {timeout_s:g}s",
-                )
+                fail(task, "timeout", f"worker timed out after {timeout_s:g}s")
+                if tasks or waiting:
+                    slot.start()
+    finally:
+        # Idle workers exit on request; one still mid-attempt (the driver
+        # raised) is terminated.
+        for slot in slots:
+            if slot.task is None:
+                slot.retire()
+        for slot in slots:
+            slot.stop(grace_s=5.0 if slot.task is None else 0.0)
     return [reports[i] for i in sorted(reports)]
 
 
@@ -903,7 +986,7 @@ def run_batch(
     With ``trace`` (or a ``trace_dir``), every file gets its own root
     :class:`TraceContext`; driver- and worker-side events about a file
     are stamped with its trace_id, and supervised worker attempts write
-    per-process JSONL shards into ``trace_dir`` for the driver to merge.
+    per-attempt JSONL shards into ``trace_dir`` for the driver to merge.
     """
     from repro.escape.engine import default_engine, validate_engine, warn_legacy_engine
 

@@ -382,6 +382,9 @@ class _Handler(BaseHTTPRequestHandler):
     quiet = True
 
     protocol_version = "HTTP/1.1"
+    # ``_respond`` writes headers and body separately; with Nagle on, the
+    # body of a keep-alive reply waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if not self.quiet:  # pragma: no cover - debugging aid
@@ -435,6 +438,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond_json(status, doc)
 
 
+class _Server(ThreadingHTTPServer):
+    # The stdlib default backlog of 5 overflows at a handful of concurrent
+    # clients; a dropped SYN is retried only after a full second.
+    request_queue_size = 128
+
+
 def make_server(
     host: str,
     port: int,
@@ -444,7 +453,7 @@ def make_server(
     """A ready-to-run threading HTTP server bound to ``host:port`` (pass
     port 0 to let the OS pick; read ``server.server_address``)."""
     handler = type("BoundHandler", (_Handler,), {"service": service, "quiet": quiet})
-    server = ThreadingHTTPServer((host, port), handler)
+    server = _Server((host, port), handler)
     server.daemon_threads = True
     return server
 

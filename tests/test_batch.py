@@ -5,6 +5,10 @@ store, warm-run accounting, and error containment."""
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import time
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.cli import main
 from repro.lang.prelude import prelude_source
 from repro.obs import RingBufferSink, Tracer, activate
 from repro.obs.events import validate_trace
+from repro.robust import faults
 from repro.robust.faults import FaultPlan, SlowStage
 from repro.robust.resilience import RetryPolicy
 
@@ -351,3 +356,118 @@ class TestLegacyDeprecationWarning:
     def test_worklist_engine_does_not_warn(self, corpus, capfd):
         assert main(["batch", str(corpus), "--no-store", "--engine", "worklist"]) == 0
         assert "deprecated" not in capfd.readouterr().err
+
+
+def _probe_worker(path, *rest):
+    """A stand-in per-file body (module level, so workers can run it) that
+    reports which process served the attempt, when it started, and what
+    its fault scope looked like on entry."""
+    faults.check_stage("probe")
+    injector = faults.active()
+    return FileReport(
+        path=path,
+        ok=True,
+        stats={
+            "pid": os.getpid(),
+            "entered": time.monotonic(),
+            "fired": list(injector.fired) if injector is not None else None,
+        },
+    )
+
+
+class _BrokenRetry(RetryPolicy):
+    """A retry policy that blows up, standing in for any driver-side bug."""
+
+    def should_retry(self, attempt: int) -> bool:
+        raise RuntimeError("driver bug")
+
+
+class TestWorkerPool:
+    """One long-lived worker per ``jobs`` slot: started lazily, replaced
+    only after a crash or a kill, and always reaped."""
+
+    RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05, seed=1)
+    FILES = 6
+
+    @pytest.fixture
+    def wide_corpus(self, tmp_path):
+        root = tmp_path / "wide"
+        root.mkdir()
+        for index in range(self.FILES // 2):
+            (root / f"append{index}.nml").write_text(APPEND)
+            (root / f"rev{index}.nml").write_text(REV)
+        return root
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        started: list = []
+        original = BaseProcess.start
+
+        def start(process):
+            started.append(process)
+            original(process)
+
+        monkeypatch.setattr(BaseProcess, "start", start)
+        return started
+
+    def test_clean_parallel_run_starts_one_worker_per_slot(self, wide_corpus, starts):
+        report = run_batch([wide_corpus], jobs=2)
+        assert report.ok and len(report.reports) == self.FILES
+        assert len(starts) == 2
+        assert all(r.attempts == 1 for r in report.reports)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "plan, timeout_s",
+        [
+            (FaultPlan(worker_crash_at=3), 5.0),
+            (FaultPlan(slow_stages=(SlowStage("worker", at=3, seconds=10.0),)), 1.0),
+        ],
+        ids=["crash", "timeout"],
+    )
+    def test_a_failed_attempt_starts_exactly_one_replacement(
+        self, wide_corpus, starts, plan, timeout_s
+    ):
+        report = run_batch(
+            [wide_corpus], jobs=2, timeout_s=timeout_s, retry=self.RETRY, fault_plan=plan
+        )
+        assert report.ok
+        assert len(starts) == 3
+        assert sorted(r.attempts for r in report.reports) == [1] * (self.FILES - 1) + [2]
+        assert multiprocessing.active_children() == []
+
+    def test_attempt_faults_do_not_carry_over_on_a_reused_worker(
+        self, wide_corpus, starts
+    ):
+        hang_s = 0.6
+        plan = FaultPlan(
+            slow_stages=(
+                SlowStage("worker", at=1, seconds=hang_s),
+                SlowStage("probe", at=1, seconds=0.0),
+            )
+        )
+        report = run_batch(
+            [wide_corpus], jobs=1, timeout_s=30.0, fault_plan=plan, worker=_probe_worker
+        )
+        assert report.ok and len(starts) == 1
+        stats = [r.stats for r in report.reports]
+        assert len({s["pid"] for s in stats}) == 1
+        # Every attempt opens a fresh fault scope: its first probe entry is
+        # ordinal 1 again, and the supervisor's worker stage never reaches it.
+        assert all(s["fired"] == ["slow:probe@1"] for s in stats)
+        # Only attempt 1 hangs; the worker serves the rest back to back.
+        entered = [s["entered"] for s in stats]
+        gaps = [later - earlier for earlier, later in zip(entered, entered[1:])]
+        assert max(gaps) < hang_s / 2, gaps
+
+    def test_workers_are_reaped_when_the_driver_raises(self, wide_corpus, starts):
+        with pytest.raises(RuntimeError, match="driver bug"):
+            run_batch(
+                [wide_corpus],
+                jobs=2,
+                timeout_s=5.0,
+                retry=_BrokenRetry(),
+                fault_plan=FaultPlan(worker_crash_at=2),
+            )
+        assert len(starts) == 2
+        assert multiprocessing.active_children() == []

@@ -196,6 +196,47 @@ class TestChaosAcceptance:
         for dump in dumps:
             validate_trace_file(dump)
 
+    def test_reused_worker_keeps_every_files_dumps(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        from multiprocessing.process import BaseProcess
+
+        from repro.batch import run_batch
+
+        starts = []
+        original = BaseProcess.start
+
+        def start(process):
+            starts.append(process)
+            original(process)
+
+        monkeypatch.setattr(BaseProcess, "start", start)
+        box = tmp_path / "box"
+        monkeypatch.setenv(FLIGHT_DIR_ENV, str(box))
+        report = run_batch(
+            [corpus],
+            store_root=None,
+            jobs=1,
+            timeout_s=30.0,
+            deadline_ms=0.0001,
+            trace=True,
+        )
+        assert len(starts) == 1  # both files served by the same worker
+        assert len(report.degraded_files) == 2
+        firsts = sorted(box.glob("worker-flight-*-000-degradation.jsonl"))
+        assert [p.name.split("-000-")[0] for p in firsts] == [
+            "worker-flight-0001",
+            "worker-flight-0002",
+        ]
+        # Each attempt's first dump holds its own file's run-up.
+        for dump, file_report in zip(firsts, report.reports):
+            validate_trace_file(dump)
+            trace_ids = {
+                json.loads(line).get("trace_id")
+                for line in dump.read_text().splitlines()
+            }
+            assert file_report.trace_id in trace_ids
+
     def test_cli_no_flight_dir_writes_nothing(self, corpus, tmp_path, monkeypatch):
         monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)
         monkeypatch.chdir(tmp_path)

@@ -9,11 +9,13 @@ through the wire, including the graceful-SIGTERM path of
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import os
 import signal
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -342,6 +344,53 @@ def test_http_traceparent_and_debug_flight(http_server):
         flight = json.loads(response.read())
     assert flight["ok"]
     validate_trace(flight["events"])
+
+
+def test_keep_alive_replies_do_not_stall_on_delayed_ack(http_server):
+    # Headers and body go out in two writes; with Nagle on, each body
+    # waited ~40 ms for the client's delayed ACK.
+    host, port = http_server.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        started = time.perf_counter()
+        for _ in range(10):
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200 and json.loads(response.read())["ok"]
+        elapsed = time.perf_counter() - started
+    finally:
+        connection.close()
+    assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f}s"
+
+
+def test_connection_burst_is_answered_without_syn_retries(http_server):
+    # 32 simultaneous connects overflow a listen backlog of 5, and a
+    # dropped SYN is only retried after a full second.
+    host, port = http_server.removeprefix("http://").split(":")
+    clients = 32
+    barrier = threading.Barrier(clients)
+    statuses: list[int] = []
+
+    def call() -> None:
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        barrier.wait()
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            statuses.append(response.status)
+        finally:
+            connection.close()
+
+    threads = [threading.Thread(target=call) for _ in range(clients)]
+    started = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30.0)
+    elapsed = time.perf_counter() - started
+    assert statuses == [200] * clients
+    assert elapsed < 1.0, f"{clients} concurrent connections took {elapsed:.3f}s"
 
 
 def test_serve_shuts_down_gracefully_on_sigterm(tmp_path):
