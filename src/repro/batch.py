@@ -418,9 +418,10 @@ def analyze_one(
 
     try:
         program = parse_program(Path(path).read_text())
-        store = AnalysisStore(store_root) if store_root else None
+        # The driver reaped the store's stale temp files once for the run.
+        store = AnalysisStore(store_root, reap=False) if store_root else None
         if deadline_ms is not None:
-            report = _analyze_hardened(
+            report, analysis = _analyze_hardened(
                 path, program, store, d, max_iterations, deadline_ms, engine
             )
         else:
@@ -447,7 +448,9 @@ def analyze_one(
             try:
                 from repro.check import check_program
 
-                report.check = check_program(program, path=str(path)).counts()
+                report.check = check_program(
+                    program, path=str(path), analysis=analysis
+                ).counts()
             except Exception as error:  # contained like an analysis error
                 report.check_error = f"{type(error).__name__}: {error}"
         if collector is not None:
@@ -469,9 +472,12 @@ def _analyze_hardened(
     max_iterations: int | None,
     deadline_ms: float,
     engine: str | None = None,
-) -> FileReport:
+) -> "tuple[FileReport, EscapeAnalysis]":
     """The budgeted worker body: every query through the hardened engine,
-    degradations collected instead of raised."""
+    degradations collected instead of raised.  Also returns an unmetered
+    :class:`EscapeAnalysis` over the same session, for the checker: the
+    audit reuses its solved SCCs but is never budgeted."""
+    from repro.escape.analyzer import EscapeAnalysis
     from repro.escape.report import stats_dict
     from repro.robust.budget import AnalysisBudget
     from repro.robust.engine import HardenedAnalysis
@@ -503,7 +509,7 @@ def _analyze_hardened(
     # ``d`` falls out of the (memoized) solve only when some query actually
     # completed one; a fully degraded file never ran to a chain bound.
     solved_d = hardened.session.solve(None).d if any_exact else -1
-    return FileReport(
+    report = FileReport(
         path=str(path),
         ok=True,
         d=solved_d,
@@ -512,6 +518,7 @@ def _analyze_hardened(
         degraded=bool(degradations),
         degradations=degradations,
     )
+    return report, EscapeAnalysis(program, session=hardened.session)
 
 
 # -- the supervisor ----------------------------------------------------------
@@ -989,9 +996,14 @@ def run_batch(
     per-attempt JSONL shards into ``trace_dir`` for the driver to merge.
     """
     from repro.escape.engine import default_engine, validate_engine, warn_legacy_engine
+    from repro.store import AnalysisStore
 
     inputs = collect_inputs(paths)
     root = str(store_root) if store_root is not None else None
+    if root is not None:
+        # Reap the store's stale temp files once, here; the per-file opens
+        # in the workers skip the sweep.
+        AnalysisStore(root)
     retry = retry or DEFAULT_RETRY
     quarantine = Quarantine()
     # Resolve the engine here: worker processes start fresh and would not

@@ -21,7 +21,7 @@ rules fired where and how long each pass took.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.check.diagnostics import (
     REGISTRY,
@@ -34,6 +34,9 @@ from repro.check.diagnostics import (
 )
 from repro.lang.ast import Program
 from repro.obs import tracer as obs
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.escape.analyzer import EscapeAnalysis
 
 __all__ = [
     "REGISTRY",
@@ -61,10 +64,12 @@ def _run_lint(program: Program) -> list[Diagnostic]:
     return lint_program(program)
 
 
-def _run_audit(program: Program) -> list[Diagnostic]:
+def _run_audit(
+    program: Program, analysis: "EscapeAnalysis | None" = None
+) -> list[Diagnostic]:
     from repro.check.audit import audit_program
 
-    return audit_program(program)
+    return audit_program(program, analysis)
 
 
 def _run_machine(program: Program) -> list[Diagnostic]:
@@ -86,8 +91,17 @@ def check_program(
     program: Program,
     passes: "Iterable[str] | None" = None,
     path: str = "",
+    analysis: "EscapeAnalysis | None" = None,
 ) -> CheckReport:
-    """Run the selected passes (all three by default) over ``program``."""
+    """Run the selected passes (all three by default) over ``program``.
+
+    ``analysis`` — the caller's :class:`~repro.escape.analyzer
+    .EscapeAnalysis` of ``program`` — is handed to the audit pass only.
+    The audit reuses its session when erasure is the identity (``program``
+    has no ``dcons`` site) and otherwise re-derives on its own, so the
+    findings are the same with or without it; sharing only saves the
+    second solve of the program.
+    """
     report = CheckReport(path=path)
     selected = list(passes) if passes is not None else list(CHECK_PASSES)
     for name in selected:
@@ -99,7 +113,11 @@ def check_program(
         started = time.perf_counter()
         with obs.span(f"check:{name}"):
             try:
-                found = body(program)
+                found = (
+                    _run_audit(program, analysis)
+                    if body is _run_audit
+                    else body(program)
+                )
             except Exception as error:  # contained: a crash is a finding
                 report.pass_errors[name] = f"{type(error).__name__}: {error}"
                 report.add(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from repro.analysis.sharing import sharing_global
 from repro.check.diagnostics import CheckSeverity, Diagnostic, rule
 from repro.escape.analyzer import EscapeAnalysis
+from repro.escape.engine import default_engine
 from repro.escape.results import EscapeResults
 from repro.lang.ast import (
     App,
@@ -172,7 +173,15 @@ def _erase_dcons(program: Program) -> Program:
     becomes part of the result (that is the optimization), so a test on the
     transformed body always reports the donor escaping.  What justifies the
     recycling is the erased function's fact — exactly what the optimizer
-    had in hand when it decided."""
+    had in hand when it decided.
+
+    A program with no ``dcons`` site is its own specification and is
+    returned as is (not a copy)."""
+    if not any(
+        isinstance(node, Prim) and node.name == "dcons"
+        for node in walk(program.letrec)
+    ):
+        return program
 
     def go(node: Expr) -> Expr | None:
         if isinstance(node, App):
@@ -190,10 +199,23 @@ def _erase_dcons(program: Program) -> Program:
     return Program(letrec=letrec, source=program.source)  # type: ignore[arg-type]
 
 
-def audit_program(program: Program) -> list[Diagnostic]:
+def audit_program(
+    program: Program, analysis: EscapeAnalysis | None = None
+) -> list[Diagnostic]:
+    """Every audit finding for ``program``.
+
+    The facts are re-derived on the dcons-erased program.  A caller's
+    ``analysis`` is reused only when erasure is the identity (no ``dcons``
+    site, so ``analysis.program is erased``) and the analysis runs with the
+    settings the audit would pick itself (default ``d``, iteration cap and
+    engine, no budget meter); otherwise the audit builds its own
+    :class:`EscapeAnalysis` of the erased program, so an optimized program
+    is never judged by the facts that produced it.
+    """
     out: list[Diagnostic] = []
     erased = _erase_dcons(program)
-    analysis = EscapeAnalysis(erased)
+    if analysis is None or not _reusable(analysis, erased):
+        analysis = EscapeAnalysis(erased)
 
     #: function -> donor parameter names with at least one dcons site
     donors_by_function: dict[str, set[str]] = {}
@@ -268,6 +290,16 @@ def audit_program(program: Program) -> list[Diagnostic]:
     )
     _audit_regions(erased, analysis, out)
     return out
+
+
+def _reusable(analysis: EscapeAnalysis, erased: Program) -> bool:
+    return (
+        analysis.program is erased
+        and analysis.d_override is None
+        and analysis.max_iterations is None
+        and analysis.meter is None
+        and analysis.engine == default_engine()
+    )
 
 
 def _audit_dcons_sites(

@@ -298,7 +298,8 @@ def snapshot_one(
     assert out_dir is not None and rel is not None
     try:
         program = parse_program(Path(path).read_text())
-        store = AnalysisStore(store_root) if store_root else None
+        # The batch driver reaped the store's stale temp files once for the run.
+        store = AnalysisStore(store_root, reap=False) if store_root else None
         document = snapshot_program(
             program, rel, store=store, engine=engine, d=d,
             max_iterations=max_iterations,

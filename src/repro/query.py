@@ -277,8 +277,12 @@ class AnalysisSession:
         self.store = store
         # Base inference: exposes the (possibly polymorphic) schemes and
         # stamps the caller's AST with the default instance, as the
-        # pre-session analyzer did.
+        # pre-session analyzer did.  The typed snapshot (a clone keeps
+        # ``.ty``) is what the unpinned solve starts from, so that solve
+        # needs no second inference and no later re-typing of the caller's
+        # AST can leak into it.
         self._base_inference = infer_program(program)
+        self._typed_program = clone_program(program)
         self.program_fingerprint = program_fingerprint(program)
         self.stats = SessionStats()
         self._solve_cache: dict[tuple, SolvedProgram] = {}
@@ -433,7 +437,14 @@ class AnalysisSession:
         self._tally(solve_misses=1)
         obs.emit("solve", cache="miss", pins=sorted(pins) if pins else [])
         with obs.span("solve"):
-            solved = self._solve_program(clone_program(self.program), pins)
+            if pins:
+                solved = self._solve_program(clone_program(self.program), pins)
+            else:
+                solved = self._solve_program(
+                    clone_program(self._typed_program),
+                    None,
+                    inference=self._base_inference,
+                )
         self._solve_cache[key] = solved
         return solved
 
@@ -469,11 +480,17 @@ class AnalysisSession:
             return solved, solved.evaluator.eval(solved_head, solved.env), "<expr>"
 
     def _solve_program(
-        self, program: Program, pins: dict[str, Type] | None
+        self,
+        program: Program,
+        pins: dict[str, Type] | None,
+        inference: InferenceResult | None = None,
     ) -> SolvedProgram:
         """Infer ``program`` (a session-private clone, mutated in place)
-        with ``pins`` and solve its letrec fixpoint per SCC."""
-        inference = infer_program(program, pins=pins)
+        with ``pins`` and solve its letrec fixpoint per SCC.  An
+        ``inference`` already stamped on ``program`` (the unpinned solve's
+        typed snapshot) is used as is."""
+        if inference is None:
+            inference = infer_program(program, pins=pins)
         d = (
             self.d_override
             if self.d_override is not None

@@ -42,7 +42,6 @@ from repro.robust.errors import (
     classify,
     reason_for,
 )
-from repro.types.infer import infer_program
 from repro.types.types import Type, fun_args
 
 
@@ -114,12 +113,6 @@ class HardenedAnalysis:
         self.d = d
         self.max_iterations = max_iterations
         self.max_retries = max_retries
-        # Fatal on failure, by design: an untypeable program has no W^τ.
-        infer_program(program)
-        self._param_types: dict[str, tuple[Type, ...]] = {}
-        for name in program.binding_names():
-            ty = program.binding(name).expr.ty
-            self._param_types[name] = tuple(fun_args(ty)[0]) if ty is not None else ()
         #: One query session shared by every query (and retry attempt) of
         #: this engine: repeated questions hit the solve/SCC caches, so a
         #: per-query budget is charged only for the cache *misses* the
@@ -132,6 +125,13 @@ class HardenedAnalysis:
         self.session = AnalysisSession(
             program, d=d, max_iterations=max_iterations, store=store, engine=engine
         )
+        # The session's base inference stamped the default instance on
+        # ``program`` — fatal on failure, by design: an untypeable program
+        # has no W^τ.
+        self._param_types: dict[str, tuple[Type, ...]] = {}
+        for name in program.binding_names():
+            ty = program.binding(name).expr.ty
+            self._param_types[name] = tuple(fun_args(ty)[0]) if ty is not None else ()
         #: The fixpoint engine the session runs on; the worklist engine
         #: charges meters one ``tick_eval`` per transfer eval, so budget
         #: breaches degrade to W^τ exactly like legacy eval steps.

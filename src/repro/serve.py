@@ -305,9 +305,25 @@ class AnalysisService:
 
     def _do_check(self, program, payload: dict) -> tuple[int, dict]:
         from repro.check import check_program
+        from repro.escape.analyzer import EscapeAnalysis
 
         passes = payload.get("passes") or None
-        report = check_program(program, passes=passes, path=payload.get("path", "<serve>"))
+        analysis = None
+        if passes is None or "audit" in passes:
+            # The audit solves through the daemon's store, so a repeated
+            # /check decodes its SCCs instead of re-solving them.  A program
+            # the analysis rejects is left to the audit pass, which reports
+            # the failure as a contained finding.
+            try:
+                analysis = EscapeAnalysis(program, store=self.store)
+            except Exception:
+                analysis = None
+        report = check_program(
+            program,
+            passes=passes,
+            path=payload.get("path", "<serve>"),
+            analysis=analysis,
+        )
         doc = report.to_json()
         findings = doc["counts"]["error"] + len(doc["pass_errors"])
         doc.update(

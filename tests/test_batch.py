@@ -14,7 +14,7 @@ import pytest
 
 from repro.batch import BatchReport, FileReport, analyze_one, collect_inputs, run_batch
 from repro.cli import main
-from repro.lang.prelude import prelude_source
+from repro.lang.prelude import paper_partition_sort, prelude_source
 from repro.obs import RingBufferSink, Tracer, activate
 from repro.obs.events import validate_trace
 from repro.robust import faults
@@ -471,3 +471,107 @@ class TestWorkerPool:
             )
         assert len(starts) == 2
         assert multiprocessing.active_children() == []
+
+
+class TestOneAnalysisPerFile:
+    """A file's checker audit reuses the file's own session; only a program
+    with ``dcons`` sites (whose erasure is not the identity) gets a second,
+    independent one."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import repro.query
+        from repro.query import AnalysisSession
+
+        tally = {"sessions": 0, "inferences": 0}
+        infer = repro.query.infer_program
+        init = AnalysisSession.__init__
+
+        def counting_infer(*args, **kwargs):
+            tally["inferences"] += 1
+            return infer(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            tally["sessions"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(repro.query, "infer_program", counting_infer)
+        monkeypatch.setattr(AnalysisSession, "__init__", counting_init)
+        return tally
+
+    def test_unchecked_file_is_one_session_and_one_inference(self, corpus, counts):
+        report = analyze_one(str(corpus / "nested" / "rev.nml"), None)
+        assert report.ok and report.functions == 2
+        assert counts == {"sessions": 1, "inferences": 1}
+
+    @pytest.mark.parametrize("deadline_ms", [None, 60_000.0], ids=["exact", "budgeted"])
+    def test_checked_file_shares_its_session_with_the_audit(
+        self, corpus, counts, deadline_ms
+    ):
+        report = analyze_one(
+            str(corpus / "nested" / "rev.nml"), None, check=True, deadline_ms=deadline_ms
+        )
+        assert report.ok and report.check is not None and not report.check_error
+        # Base inference, plus the local test's discovery and pinned passes.
+        assert counts["sessions"] == 1
+        assert counts["inferences"] <= 3
+
+    def test_dcons_program_is_audited_by_its_own_session(self, tmp_path, counts):
+        from repro.check import check_program
+        from repro.escape.analyzer import EscapeAnalysis
+        from repro.lang.pretty import pretty_program
+        from repro.opt.reuse import make_reuse_specialization
+
+        program = paper_partition_sort()
+        with faults.inject(FaultPlan(unsound_reuse_at=1)) as injector:
+            bad = make_reuse_specialization(
+                program, "append", 2, new_name="append_bad"
+            ).program
+        assert injector.fired == ["unsound_reuse@1"]
+
+        counts["sessions"] = 0
+        report = check_program(bad, analysis=EscapeAnalysis(bad))
+        assert counts["sessions"] == 2
+        assert [d.rule.id for d in report.errors] == ["AUD003"]
+
+        path = tmp_path / "bad.nml"
+        path.write_text(pretty_program(bad))
+        counts["sessions"] = 0
+        report = analyze_one(str(path), None, check=True)
+        assert report.ok and report.check["error"] == 1
+        assert counts["sessions"] == 2
+
+
+class TestStoreReapedOncePerRun:
+    FILES = 6
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_driver_reaps_stale_tmp_once(self, tmp_path, monkeypatch, jobs):
+        from repro.store import DEFAULT_REAP_AGE_S, AnalysisStore
+
+        root = tmp_path / "corpus"
+        root.mkdir()
+        for index in range(self.FILES // 2):
+            (root / f"append{index}.nml").write_text(APPEND)
+            (root / f"rev{index}.nml").write_text(REV)
+        store = tmp_path / "store"
+        (store / "ab").mkdir(parents=True)
+        stale = store / "ab" / ".abcdef01-orphan.tmp"
+        stale.write_text("{")
+        old = time.time() - DEFAULT_REAP_AGE_S - 60
+        os.utime(stale, (old, old))
+
+        # Every reap, in the driver or in a forked worker, appends its pid.
+        log = tmp_path / "reaps.log"
+        reap = AnalysisStore.reap_tmp
+
+        def logged_reap(self, *args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return reap(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisStore, "reap_tmp", logged_reap)
+        report = run_batch([root], store_root=store, jobs=jobs)
+        assert report.ok and len(report.reports) == self.FILES
+        assert not stale.exists()
+        assert log.read_text().split() == [str(os.getpid())]

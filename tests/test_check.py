@@ -25,6 +25,7 @@ from repro.lang.ast import App, Prim, uncurry_app, walk
 from repro.lang.errors import NO_SPAN
 from repro.lang.parser import parse_program
 from repro.lang.prelude import paper_partition_sort, prelude_source
+from repro.lang.pretty import pretty_program
 from repro.machine.compiler import compile_program
 from repro.machine.instructions import (
     Apply,
@@ -331,6 +332,43 @@ class TestCheckProgram:
             if e["type"] == "span_end" and e.get("name") == "check:audit"
         ]
         assert spans  # the per-pass span timing
+
+
+def _sharing_cases():
+    from pathlib import Path
+
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    files = sorted(examples.glob("*.nml")) + sorted(
+        (examples / "generated").glob("*.nml")
+    )[:20]
+    cases = [pytest.param(path.read_text(), id=path.name) for path in files]
+    cases.append(pytest.param(pretty_program(paper_ps_prime().program), id="ps-prime"))
+    return cases
+
+
+class TestSharedAnalysis:
+    """Handing the checker the caller's analysis saves a solve and changes
+    no finding."""
+
+    @pytest.mark.parametrize("source", _sharing_cases())
+    def test_findings_are_unchanged_by_sharing(self, source):
+        from repro.escape.analyzer import EscapeAnalysis
+
+        program = parse_program(source)
+        alone = check_program(program).to_json()
+        shared = check_program(program, analysis=EscapeAnalysis(program)).to_json()
+        alone.pop("pass_timings")
+        shared.pop("pass_timings")
+        assert shared == alone
+
+    def test_audit_ignores_an_analysis_of_other_settings(self):
+        from repro.escape.analyzer import EscapeAnalysis
+
+        program = paper_partition_sort()
+        alone = audit_program(program)
+        capped = EscapeAnalysis(program, max_iterations=1)
+        assert audit_program(program, capped) == alone
+        assert capped.session.stats.queries == 0
 
 
 class TestCheckCLI:

@@ -102,6 +102,53 @@ def _walk(expr):
     return walk(expr)
 
 
+class TestOneInference:
+    """The unpinned solve starts from the session's typed snapshot instead
+    of inferring the program a second time."""
+
+    @pytest.fixture
+    def infer_calls(self, monkeypatch):
+        import repro.query
+
+        calls: list = []
+        original = repro.query.infer_program
+
+        def counting(program, *args, **kwargs):
+            calls.append(kwargs.get("pins"))
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(repro.query, "infer_program", counting)
+        return calls
+
+    def test_global_tests_on_every_function_infer_once(
+        self, partition_sort, infer_calls
+    ):
+        analysis = EscapeAnalysis(partition_sort)
+        for name in partition_sort.binding_names():
+            analysis.global_all(name)
+        assert len(infer_calls) == 1
+
+    def test_pinned_solves_still_infer_at_their_instance(self, infer_calls):
+        analysis = EscapeAnalysis(prelude_program(["append"], "append [[1]] [[2]]"))
+        analysis.global_all("append")
+        analysis.global_all("append", instance=DEEP_APPEND)
+        assert infer_calls == [None, {"append": DEEP_APPEND}]
+
+    def test_unpinned_solve_ignores_later_retyping_of_the_callers_ast(self):
+        from repro.types.infer import infer_program
+
+        program = prelude_program(["append"], "0")
+        analysis = EscapeAnalysis(program)
+        # Re-type the caller's AST at a deeper instance before the first
+        # solve: the unpinned answer stays the default instance's.
+        infer_program(program, pins={"append": DEEP_APPEND})
+        assert str(analysis.global_test("append", 1).result) == "<1,0>"
+        assert (
+            str(analysis.global_test("append", 1, instance=DEEP_APPEND).result)
+            == "<1,1>"
+        )
+
+
 class TestSessionSharing:
     def test_two_facades_share_one_session(self, partition_sort):
         session = AnalysisSession(partition_sort)

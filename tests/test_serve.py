@@ -86,6 +86,25 @@ def test_check_clean_program(service):
     assert doc["counts"]["error"] == 0
 
 
+def test_repeated_check_reads_the_store_and_answers_the_same(service):
+    source = prelude_source(["append", "rev"], "rev (append [1] [2, 3])")
+    replies, counters = [], []
+    for _ in range(2):
+        status, doc = service.handle("check", {"source": source})
+        assert status == 200
+        replies.append(doc)
+        counters.append(service.store.counters())
+        assert len(service.store) > 0  # the audit's fixpoints persist
+    for doc in replies:
+        doc.pop("trace_id")
+        doc.pop("pass_timings")
+    assert replies[0] == replies[1]
+    # The second /check decodes every SCC from the store: no miss, no write.
+    assert counters[1]["store_hits"] > counters[0]["store_hits"]
+    assert counters[1]["store_misses"] == counters[0]["store_misses"]
+    assert counters[1]["store_writes"] == counters[0]["store_writes"]
+
+
 def test_optimize_returns_auditable_program(service):
     status, doc = service.handle("optimize", {"source": APPEND})
     assert status == 200 and doc["ok"]
