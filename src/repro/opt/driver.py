@@ -15,6 +15,11 @@ artifact a compiler would act on (and a user can audit):
 specializations are added, body calls are redirected to them when the
 actual argument is a literal (fresh, hence unshared), and the stack/block
 rewrites are applied when their decisions are present.
+
+The plan carries the analysis that licensed its decisions, and every
+apply step (:func:`apply_decision`) takes its escape facts from it while
+the step's question is unchanged (:func:`plan_answers`) instead of
+re-solving the rewritten program.
 """
 
 from __future__ import annotations
@@ -71,6 +76,15 @@ class Decision:
 class OptimizationPlan:
     program: Program
     decisions: list[Decision] = field(default_factory=list)
+    #: the analysis of ``program`` whose answers licensed the decisions
+    #: (unmetered: a budget bounds the survey, not later reads of it).
+    #: Apply steps reuse it while their question is unchanged; a
+    #: hand-built plan without one gets it on first need (:func:`_plan_analysis`).
+    analysis: "EscapeAnalysis | None" = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.analysis is not None and self.analysis.program is not self.program:
+            raise ValueError("the plan's analysis was built for a different program")
 
     def by_kind(self, kind: str) -> list[Decision]:
         return [d for d in self.decisions if d.kind == kind]
@@ -120,7 +134,11 @@ def _plan_optimizations(
     session: "AnalysisSession | None",
 ) -> OptimizationPlan:
     analysis = EscapeAnalysis(program, meter=meter, session=session)
-    plan = OptimizationPlan(program=program)
+    # The plan keeps an unmetered view of the survey's session: the budget
+    # bounds the survey; apply steps stay unmetered, as fresh analyses are.
+    plan = OptimizationPlan(
+        program=program, analysis=EscapeAnalysis(program, session=analysis.session)
+    )
 
     # -- reuse candidates per function ----------------------------------
     for name in program.binding_names():
@@ -213,16 +231,54 @@ def _plan_optimizations(
     return plan
 
 
-def apply_reuse_decision(
-    program: Program, decision: Decision
+def _plan_analysis(plan: OptimizationPlan) -> EscapeAnalysis:
+    """The plan's analysis — built once, from ``plan.program``, for a
+    hand-built plan that carries none."""
+    if plan.analysis is None:
+        plan.analysis = EscapeAnalysis(plan.program)
+    return plan.analysis
+
+
+def keeps_bindings(program: Program, base: Program) -> bool:
+    """Whether every binding of ``base`` is still present, by identity, in
+    ``program`` — true after steps that only append bindings or rewrite
+    the body, false after any step that cloned the program."""
+    present = {id(binding) for binding in program.bindings}
+    return all(id(binding) in present for binding in base.bindings)
+
+
+def plan_answers(
+    program: Program, decision: Decision, plan: OptimizationPlan
+) -> EscapeAnalysis | None:
+    """The plan's analysis when it still answers ``decision``'s escape
+    question on ``program`` (the plan's program after earlier steps), else
+    ``None`` (the step then analyses ``program`` afresh).
+
+    Every step either appends a specialization or rewrites only the body,
+    keeping the original :class:`Binding` objects.  While each binding of
+    ``plan.program`` is still present *by identity*, ``G(f, i)`` of an
+    original ``f`` is unchanged (an original binding cannot reference an
+    appended one); the local test of the result call also needs the body
+    itself to be the plan's.  A step that cloned the program fails the
+    check, so no answer is taken on trust.
+    """
+    base = plan.program
+    if decision.kind != "reuse" and program.body is not base.body:
+        return None
+    if not keeps_bindings(program, base):
+        return None
+    return _plan_analysis(plan)
+
+
+def _apply_reuse(
+    program: Program, decision: Decision, analysis: EscapeAnalysis | None
 ) -> tuple[Program, list[str]]:
-    """Apply one *reuse* decision: add the specialization and, when the
-    result call's actual argument is a literal (fresh, therefore unshared),
-    redirect the body to it.  Raises ``OptimizationError`` if inapplicable;
-    the input program is returned unchanged on failure paths above this
-    call because every transformation builds a fresh program."""
+    """Add the specialization and, when the result call's actual argument
+    is a literal (fresh, therefore unshared), redirect the body to it."""
     log: list[str] = []
-    result = make_reuse_specialization(program, decision.function, decision.param_index)
+    result = make_reuse_specialization(
+        program, decision.function, decision.param_index, analysis=analysis
+    )
     program = result.program
     log.append(f"added {result.new_name} ({result.rewritten_sites} DCONS site(s))")
     head, args = uncurry_app(program.body)
@@ -240,61 +296,75 @@ def apply_reuse_decision(
     return program, log
 
 
-def apply_stack_decision(program: Program) -> tuple[Program, list[str]]:
-    """Apply the (single) stack-allocation rewrite of the result call."""
+def _apply_stack(
+    program: Program, analysis: EscapeAnalysis | None
+) -> tuple[Program, list[str]]:
+    """The (single) stack-allocation rewrite of the result call."""
     from repro.opt.stack_alloc import stack_allocate_body
 
-    result = stack_allocate_body(program)
+    result = stack_allocate_body(program, analysis=analysis)
     return result.program, [
         f"stack-allocated {result.annotated_sites} literal cons site(s)"
     ]
 
 
-def apply_block_decision(
-    program: Program, decision: Decision
+def _apply_block(
+    program: Program, decision: Decision, analysis: EscapeAnalysis | None
 ) -> tuple[Program, list[str]]:
-    """Apply one *block* decision: the producer's spine goes to a block."""
+    """One block rewrite: the producer's spine goes to a block."""
     from repro.opt.block_alloc import block_allocate_producer
 
-    result = block_allocate_producer(program, decision.function)
+    result = block_allocate_producer(program, decision.function, analysis=analysis)
     return result.program, [
         f"block-allocated {decision.function} ({result.annotated_sites} site(s))"
     ]
 
 
+def apply_decision(
+    program: Program, decision: Decision, plan: OptimizationPlan
+) -> tuple[Program, list[str]]:
+    """Apply one of ``plan``'s decisions to ``program`` (the plan's program
+    or the output of earlier steps); returns the new program and a log of
+    what was done.  The escape facts come from :func:`plan_answers` — the
+    plan's analysis, a cache hit that re-solves nothing — or, when the
+    step's question changed, from a fresh analysis of ``program``.  Either
+    is unmetered.  Raises ``OptimizationError`` if the step is
+    inapplicable; every transformation builds a fresh program, so
+    ``program`` itself is never left partially transformed."""
+    analysis = plan_answers(program, decision, plan)
+    if decision.kind == "reuse":
+        return _apply_reuse(program, decision, analysis)
+    if decision.kind == "stack":
+        return _apply_stack(program, analysis)
+    return _apply_block(program, decision, analysis)
+
+
+def _skip_message(decision: Decision, error: OptimizationError) -> str:
+    if decision.kind == "reuse":
+        return f"skip reuse {decision.function}: {error.message}"
+    if decision.kind == "stack":
+        return f"skip stack allocation: {error.message}"
+    return f"skip block allocation of {decision.function}: {error.message}"
+
+
 def apply_plan(plan: OptimizationPlan) -> tuple[Program, list[str]]:
-    """Mechanically apply the plan's safe subset; returns the transformed
-    program and a log of the steps taken.  Inapplicable steps are skipped
-    and logged; the program is never left partially transformed because
-    each step either returns a complete fresh program or raises."""
+    """Mechanically apply the plan's safe subset — every reuse decision,
+    then the stack rewrite (once, covering every stack decision), then
+    every block decision — through :func:`apply_decision`, so each step
+    reuses the plan's analysis while its question is unchanged.  Returns
+    the transformed program and a log of the steps taken.  Inapplicable
+    steps are skipped and logged; the program is never left partially
+    transformed because each step either returns a complete fresh program
+    or raises."""
     program = plan.program
     log: list[str] = []
-
-    for decision in plan.by_kind("reuse"):
+    steps = plan.by_kind("reuse") + plan.by_kind("stack")[:1] + plan.by_kind("block")
+    for decision in steps:
         try:
-            program, step_log = apply_reuse_decision(program, decision)
+            program, step_log = apply_decision(program, decision, plan)
             log.extend(step_log)
-            obs.emit("transform_applied", kind="reuse", detail="; ".join(step_log))
+            obs.emit("transform_applied", kind=decision.kind, detail="; ".join(step_log))
         except OptimizationError as error:
-            log.append(f"skip reuse {decision.function}: {error.message}")
-            obs.emit("transform_skipped", kind="reuse", reason=error.message)
-
-    if plan.by_kind("stack"):
-        try:
-            program, step_log = apply_stack_decision(program)
-            log.extend(step_log)
-            obs.emit("transform_applied", kind="stack", detail="; ".join(step_log))
-        except OptimizationError as error:
-            log.append(f"skip stack allocation: {error.message}")
-            obs.emit("transform_skipped", kind="stack", reason=error.message)
-
-    for decision in plan.by_kind("block"):
-        try:
-            program, step_log = apply_block_decision(program, decision)
-            log.extend(step_log)
-            obs.emit("transform_applied", kind="block", detail="; ".join(step_log))
-        except OptimizationError as error:
-            log.append(f"skip block allocation of {decision.function}: {error.message}")
-            obs.emit("transform_skipped", kind="block", reason=error.message)
-
+            log.append(_skip_message(decision, error))
+            obs.emit("transform_skipped", kind=decision.kind, reason=error.message)
     return program, log

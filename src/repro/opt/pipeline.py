@@ -24,6 +24,7 @@ from repro.robust.errors import Degradation
 from repro.lang.ast import Program
 from repro.lang.prelude import paper_partition_sort, prelude_program
 from repro.opt.block_alloc import BlockAllocResult, block_allocate_producer
+from repro.opt.driver import keeps_bindings
 from repro.opt.reuse import (
     make_reuse_specialization,
     redirect_body_calls,
@@ -138,14 +139,18 @@ def auto_reuse(
     inapplicable, is skipped and recorded in ``degradations`` with the
     original exception — budget breaches and unknown exceptions propagate.
 
-    ``session`` seeds the *initial* analysis with an existing query
-    session; once a specialization changes the program a fresh session is
-    started for the transformed program (its fingerprint differs).
+    ``session`` seeds the analysis with an existing query session.  One
+    analysis answers every candidate: a specialization only appends a
+    binding, so the input program's bindings stay present by identity and
+    their global tests are unchanged (the rule of
+    :func:`~repro.opt.driver.plan_answers`); should that ever fail, the
+    transformed program is analysed afresh.
     """
     from repro.lang.errors import AnalysisError, OptimizationError, TypeInferenceError
     from repro.robust.errors import Degradation, reason_for
 
     analysis = analysis or EscapeAnalysis(program, session=session)
+    analysed = program
     steps: list[str] = []
     degradations: list[Degradation] = []
     for name in list(program.binding_names()):
@@ -182,7 +187,8 @@ def auto_reuse(
                     )
                     continue
                 program = reuse.program
-                analysis = EscapeAnalysis(program)
+                if not keeps_bindings(program, analysed):
+                    analysis, analysed = EscapeAnalysis(program), program
                 steps.append(
                     f"{name} param {result.param_index} -> {reuse.new_name} "
                     f"({reuse.rewritten_sites} site)"

@@ -159,7 +159,12 @@ def make_reuse_specialization(
     it appended as an extra top-level binding.
 
     Verifies (unless ``force``) that the donor parameter is a list with at
-    least one non-escaping top spine, per the global escape test.
+    least one non-escaping top spine, per the global escape test.  The test
+    is asked of ``analysis`` when given — any analysis of a program whose
+    bindings ``program`` still holds by identity answers it, such as the
+    one an optimization plan was built from
+    (:func:`repro.opt.driver.plan_answers`) — and of a fresh
+    :class:`EscapeAnalysis` of ``program`` otherwise.
     """
     from repro.robust import faults
 

@@ -27,13 +27,7 @@ from repro.obs import tracer as obs
 from repro.robust import faults
 from repro.robust.budget import AnalysisBudget, BudgetMeter
 from repro.robust.errors import Degradation, Severity, classify, reason_for
-from repro.opt.driver import (
-    Decision,
-    apply_block_decision,
-    apply_reuse_decision,
-    apply_stack_decision,
-    plan_optimizations,
-)
+from repro.opt.driver import Decision, apply_decision, plan_optimizations
 
 
 @dataclass
@@ -84,6 +78,13 @@ def harden_optimize(
 ) -> HardenedPipelineResult:
     """Plan and apply every licensed optimization, degrading soundly.
 
+    Steps run in the plan's decision order through
+    :func:`~repro.opt.driver.apply_decision`, the dispatch ``apply_plan``
+    uses too: each takes its escape facts from the survey's analysis while
+    its question is unchanged, and from a fresh analysis otherwise.  The
+    budget meters the survey; a step checks the deadline before it starts
+    but its analysis work is unmetered.
+
     Fatal errors (untypeable program, tripped soundness tripwires outside
     the validation run) propagate; everything else is recorded and skipped.
 
@@ -118,13 +119,8 @@ def harden_optimize(
         try:
             faults.check_stage(decision.kind)
             meter.check_deadline()
-            if decision.kind == "reuse":
-                current, step_log = apply_reuse_decision(current, decision)
-            elif decision.kind == "stack":
-                current, step_log = apply_stack_decision(current)
-                stack_done = True
-            else:
-                current, step_log = apply_block_decision(current, decision)
+            current, step_log = apply_decision(current, decision, plan)
+            stack_done = stack_done or decision.kind == "stack"
             result.applied.extend(step_log)
             obs.emit(
                 "transform_applied", kind=decision.kind, detail="; ".join(step_log)

@@ -24,6 +24,30 @@ def ps_analysis(partition_sort):
     return EscapeAnalysis(partition_sort)
 
 
+@pytest.fixture
+def analysis_counts(monkeypatch):
+    """Live tally of the analysis sessions built and the type inferences
+    the query engine runs while the test executes."""
+    import repro.query
+    from repro.query import AnalysisSession
+
+    tally = {"sessions": 0, "inferences": 0}
+    infer = repro.query.infer_program
+    init = AnalysisSession.__init__
+
+    def counting_infer(*args, **kwargs):
+        tally["inferences"] += 1
+        return infer(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        tally["sessions"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(repro.query, "infer_program", counting_infer)
+    monkeypatch.setattr(AnalysisSession, "__init__", counting_init)
+    return tally
+
+
 #: (prelude functions to load, function under test, concrete args, 1-based
 #: interesting index) — every entry is exercised by the observer-vs-abstract
 #: safety tests and by differential interpreter tests.

@@ -52,6 +52,8 @@ from repro.semantics.interp import run_program
 from repro.semantics.values import VCons, VInt, VNil
 from repro.types.types import INT, TList
 
+from .test_driver import APPLY_SESSIONS, step_sessions
+
 
 # ---------------------------------------------------------------------------
 # the error taxonomy
@@ -568,6 +570,25 @@ class TestHardenedPipeline:
         with faults.inject(plan):
             with pytest.raises(InjectedFault):
                 harden_optimize(partition_sort)
+
+    @pytest.mark.parametrize(
+        "build,expected", [(b, e) for _, b, e in APPLY_SESSIONS],
+        ids=[label for label, _, _ in APPLY_SESSIONS],
+    )
+    def test_steps_reuse_the_survey_analysis(
+        self, build, expected, analysis_counts, monkeypatch
+    ):
+        # The same apply counts as apply_plan: one session for the survey,
+        # and only a step whose question changed builds another.
+        import repro.robust.pipeline as pipeline
+
+        per_kind = step_sessions(monkeypatch, pipeline, analysis_counts)
+        program = build()
+        outcome = harden_optimize(program)
+        assert analysis_counts["sessions"] == 1 + expected
+        assert sum(per_kind.values()) == expected
+        assert per_kind["reuse"] == 0
+        assert run_program(outcome.program)[0] == run_program(program)[0]
 
     def test_auto_reuse_records_degradations(self, partition_sort, monkeypatch):
         from repro.opt import pipeline as opt_pipeline
